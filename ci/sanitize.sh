@@ -4,8 +4,9 @@
 # Builds the tree under EXA_SANITIZE and runs the targeted ctest labels
 # (ROADMAP's CI item): migration and refluxing are memcpy-heavy
 # (rebalance, amr), the debug-backend reruns replay every kernel in
-# shuffled zone order, and the resilience suite hands staged checkpoint
-# buffers to a background drain thread — under TSan that covers the
+# shuffled zone order, the burn and maestro suites burn zones on OpenMP
+# threads, and the resilience suite hands staged checkpoint buffers to a
+# background drain thread — under TSan that covers the
 # main-thread/drain-thread handshake the runtime checkers cannot see.
 # The combination is where sanitizers catch what the runtime checkers
 # cannot, and vice versa. A seeded multi-fault campaign smoke test runs
@@ -23,7 +24,7 @@ ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD="${ROOT}/build-sanitize-${SAN//;/-}"
 
 # Repeated `ctest -L` flags AND together; one regex is the union.
-LABELS='rebalance|debug-backend|amr|burn|resilience|ensemble|gravity'
+LABELS='rebalance|debug-backend|amr|burn|maestro|resilience|ensemble|gravity'
 
 cmake -B "${BUILD}" -S "${ROOT}" -DEXA_SANITIZE="${SAN}" \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo

@@ -47,4 +47,18 @@ BurnGridStats reactState(MultiFab& state, const ReactionNetwork& net, const Eos&
                          Real dt, const ReactOptions& opt = ReactOptions{},
                          CostMonitor* cost = nullptr, int level = 0);
 
+// The per-zone grid burn behind reactState's per-zone path and
+// Maestro::react. Lists every zone of `state` in serial traversal order
+// (fab, then k/j/i) and burns them through burnZones — zone-parallel
+// across all fabs on the OpenMP backend. Afterwards, in that serial zone
+// order, it reduces the BurnGridStats, reports one `nuclear_burn` launch
+// per fab (shaped by opt.hybrid_cpu_outliers) and credits `cost`: each
+// fab's steps to the work channel, and the burn's wall time split across
+// fabs in proportion to their steps. `load` and `store` map the caller's
+// state layout and apply its eligibility test (opt.T_min, opt.rho_min).
+BurnGridStats reactZones(MultiFab& state, const ReactionNetwork& net,
+                         const Eos& eos, Real dt, const ReactOptions& opt,
+                         const BurnZoneLoader& load, const BurnZoneStorer& store,
+                         CostMonitor* cost = nullptr, int level = 0);
+
 } // namespace exa::castro

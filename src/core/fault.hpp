@@ -31,7 +31,9 @@ namespace exa::fault {
 // (documented at the call site) where a hit is counted and a fault can
 // fire. Keep siteName() in sync when extending.
 enum class Site : int {
-    BurnZoneFailure = 0, // burnZone(): integrator reports failure for the zone
+    BurnZoneFailure = 0, // burnZoneInto(): integrator reports failure for the
+                         // zone. While any site is armed, burnZones runs its
+                         // zones in serial order on every backend.
     HydroNanFlux,        // molRhs(): one zone of dU/dt is poisoned with NaN
     ArenaAllocFailure,   // Pool/MallocArena::allocate() throws std::bad_alloc
     HaloPayloadCorrupt,  // MultiFab copy plan: one copied value becomes NaN

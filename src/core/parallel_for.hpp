@@ -23,6 +23,11 @@
 #include <algorithm>
 #include <limits>
 #include <utility>
+#include <vector>
+
+#if defined(EXA_USE_OPENMP)
+#include <omp.h>
+#endif
 
 namespace exa {
 
@@ -172,7 +177,10 @@ void ParallelFor(std::int64_t n, F&& f) {
 //
 // Reductions are launches too (the device model charges them), but the
 // accumulation order is fixed (serial zone order) on every backend except
-// OpenMP so results stay deterministic.
+// OpenMP so results stay deterministic. OpenMP sums are reproducible run
+// to run for a given thread count: each thread sums its static share and
+// the partials are added in thread order (a reduction clause would add
+// them in the order threads finish).
 
 template <typename F>
 Real ParallelReduceSum(const KernelInfo& ki, const Box& box, F&& f) {
@@ -185,11 +193,18 @@ Real ParallelReduceSum(const KernelInfo& ki, const Box& box, F&& f) {
     const Dim3 hi = box.hiDim3();
 #if defined(EXA_USE_OPENMP)
     if (ExecConfig::backend() == Backend::OpenMP) {
-#pragma omp parallel for collapse(2) reduction(+ : s) schedule(static)
-        for (int k = lo.z; k <= hi.z; ++k)
-            for (int j = lo.y; j <= hi.y; ++j)
-                for (int i = lo.x; i <= hi.x; ++i)
-                    s += f(i, j, k);
+        std::vector<Real> partial(static_cast<std::size_t>(omp_get_max_threads()), 0.0);
+#pragma omp parallel
+        {
+            Real mine = 0.0;
+#pragma omp for collapse(2) schedule(static) nowait
+            for (int k = lo.z; k <= hi.z; ++k)
+                for (int j = lo.y; j <= hi.y; ++j)
+                    for (int i = lo.x; i <= hi.x; ++i)
+                        mine += f(i, j, k);
+            partial[static_cast<std::size_t>(omp_get_thread_num())] = mine;
+        }
+        for (const Real p : partial) s += p;
         return s;
     }
 #endif

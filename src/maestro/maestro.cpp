@@ -237,69 +237,36 @@ void Maestro::buoyancy(Real dt) {
 
 BurnGridStats Maestro::react(Real dt) {
     TimerRegion timer("maestro::react");
-    BurnGridStats stats;
     const int nspec = m_net.nspec();
-    std::vector<Real> X(nspec);
+    std::vector<Array4<Real>> q(m_state.size());
+    for (std::size_t b = 0; b < m_state.size(); ++b) {
+        q[b] = m_state.array(static_cast<int>(b));
+    }
+    const Real T_min = m_opt.react.T_min;
+    // Density is not a state variable: each zone derives it from the EOS
+    // at the base-state pressure of its height.
+    auto load = [&](const BurnZoneRef& z, Real& rho, Real& T, Real* X) {
+        const Array4<Real>& a = q[z.fab];
+        T = a(z.i, z.j, z.k, MaestroLayout::QT);
+        if (T < T_min) return false;
+        for (int n = 0; n < nspec; ++n) {
+            X[n] = std::clamp(a(z.i, z.j, z.k, MaestroLayout::QFS + n), Real(0),
+                              Real(1));
+        }
+        rho = rhoOf(z.k, T, X);
+        return true;
+    };
+    auto store = [&](const BurnZoneRef& z, Real /*rho*/, const BurnResult& r) {
+        const Array4<Real>& a = q[z.fab];
+        a(z.i, z.j, z.k, MaestroLayout::QT) = r.T;
+        for (int n = 0; n < nspec; ++n) {
+            a(z.i, z.j, z.k, MaestroLayout::QFS + n) = r.X[n];
+        }
+    };
     CostMonitor* cost =
         m_opt.rebalance.enabled ? &m_rebalancer.monitor() : nullptr;
-    for (std::size_t b = 0; b < m_state.size(); ++b) {
-        CostMonitor::ScopedFabTimer fab_timer(cost, 0, static_cast<int>(b));
-        auto q = m_state.array(static_cast<int>(b));
-        const Box& vb = m_state.box(static_cast<int>(b));
-        std::int64_t fab_steps = 0, fab_zones = 0, fab_max = 0;
-        for (int k = vb.smallEnd(2); k <= vb.bigEnd(2); ++k)
-            for (int j = vb.smallEnd(1); j <= vb.bigEnd(1); ++j)
-                for (int i = vb.smallEnd(0); i <= vb.bigEnd(0); ++i) {
-                    ++fab_zones;
-                    const Real T = q(i, j, k, MaestroLayout::QT);
-                    if (T < m_opt.react.T_min) {
-                        ++fab_steps;
-                        fab_max = std::max<std::int64_t>(fab_max, 1);
-                        continue;
-                    }
-                    for (int n = 0; n < nspec; ++n) {
-                        X[n] = std::clamp(q(i, j, k, MaestroLayout::QFS + n),
-                                          Real(0), Real(1));
-                    }
-                    const Real rho = rhoOf(k, T, X.data());
-                    auto r = burnZone(m_net, m_eos, rho, T, X.data(), dt,
-                                      m_opt.react.ode);
-                    if (r.success) {
-                        q(i, j, k, MaestroLayout::QT) = r.T;
-                        for (int n = 0; n < nspec; ++n) {
-                            q(i, j, k, MaestroLayout::QFS + n) = r.X[n];
-                        }
-                    } else {
-                        ++stats.failures;
-                        if (!stats.first_failure.valid) {
-                            stats.first_failure = {true, i, j, k,
-                                                   static_cast<int>(b), -1, rho, T};
-                        }
-                    }
-                    const std::int64_t st = std::max<std::int64_t>(r.stats.steps, 1);
-                    fab_steps += st;
-                    fab_max = std::max(fab_max, st);
-                }
-        stats.zones += fab_zones;
-        stats.total_steps += fab_steps;
-        stats.max_steps = std::max(stats.max_steps, fab_max);
-        if (cost != nullptr) {
-            // Burn work channel; the wall-time channel is credited by
-            // fab_timer's destructor.
-            cost->addWork(0, static_cast<int>(b),
-                          static_cast<double>(fab_steps));
-        }
-        if (ExecConfig::accountsLaunches() && fab_zones > 0) {
-            const double mean = static_cast<double>(fab_steps) / fab_zones;
-            LaunchRecord rec;
-            rec.info = burnKernelInfo(nspec, std::max(mean, 1.0),
-                                      fab_max / std::max(mean, 1.0));
-            rec.zones = fab_zones;
-            rec.stream = ExecConfig::currentStream();
-            ExecConfig::notifyLaunch(rec);
-        }
-    }
-    return stats;
+    return castro::reactZones(m_state, m_net, m_eos, dt, m_opt.react, load,
+                              store, cost, 0);
 }
 
 void Maestro::project() {

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <exception>
+#include <optional>
 #include <sstream>
 
 namespace exa {
@@ -44,6 +46,30 @@ std::string BurnGridStats::describeFailure() const {
     if (first_failure.level >= 0) os << " level " << first_failure.level;
     os << ": rho=" << first_failure.rho << ", T=" << first_failure.T;
     return os.str();
+}
+
+std::int64_t BurnGridStats::addSkipped() {
+    ++zones;
+    ++total_steps;
+    max_steps = std::max<std::int64_t>(max_steps, 1);
+    return 1;
+}
+
+std::int64_t BurnGridStats::addBurned(std::int64_t steps) {
+    const std::int64_t charged = std::max<std::int64_t>(steps, 1);
+    ++zones;
+    total_steps += charged;
+    max_steps = std::max(max_steps, charged);
+    return charged;
+}
+
+std::int64_t BurnGridStats::addFailed(std::int64_t steps,
+                                      const BurnFailureSite& site) {
+    ++zones;
+    ++failures;
+    if (!first_failure.valid) first_failure = site;
+    total_steps += steps + 1;
+    return steps + 1;
 }
 
 void burnZoneInto(BurnOde& ode, Real rho, Real T, const Real* X, Real dt,
@@ -103,6 +129,71 @@ BurnResult burnZone(const ReactionNetwork& net, const Eos& eos, Real rho, Real T
     BurnResult out;
     burnZoneInto(ode, rho, T, X, dt, opt, ws, out);
     return out;
+}
+
+namespace {
+
+// One thread's burnZones state: the ODE, integrator workspace, result
+// and mass-fraction buffer, reused across all zones the thread burns.
+struct ThreadZoneBurner {
+    ThreadZoneBurner(const ReactionNetwork& net, const Eos& eos)
+        : ode(net, eos, 0.0), X(net.nspec()) {}
+
+    void burn(const BurnZoneRef& zone, Real dt, const OdeOptions& opt,
+              const BurnZoneLoader& load, const BurnZoneStorer& store,
+              BurnZoneOutcome& out) {
+        Real rho = 0.0, T = 0.0;
+        if (!load(zone, rho, T, X.data())) return;
+        burnZoneInto(ode, rho, T, X.data(), dt, opt, ws, result);
+        out = {true, result.success, result.stats.steps, rho, T};
+        if (result.success) store(zone, rho, result);
+    }
+
+    BurnOde ode;
+    BurnWorkspace ws;
+    BurnResult result;
+    std::vector<Real> X;
+};
+
+} // namespace
+
+void burnZones(const ReactionNetwork& net, const Eos& eos,
+               const std::vector<BurnZoneRef>& zones, Real dt,
+               const OdeOptions& opt, const BurnZoneLoader& load,
+               const BurnZoneStorer& store, std::vector<BurnZoneOutcome>& out) {
+    const auto n = static_cast<std::int64_t>(zones.size());
+    out.assign(zones.size(), BurnZoneOutcome{});
+#if defined(EXA_USE_OPENMP)
+    // The burn fault site counts hits in call order, so an armed site
+    // keeps the serial order below: injections then fire on the same
+    // zones on every backend.
+    if (ExecConfig::backend() == Backend::OpenMP && !fault::anyArmed()) {
+        // An exception must not leave the parallel region (nor skip the
+        // loop's barrier): the first one is kept and rethrown after it,
+        // as the serial loop would have thrown it.
+        std::exception_ptr error;
+#pragma omp parallel
+        {
+            std::optional<ThreadZoneBurner> burner;
+#pragma omp for schedule(dynamic, 1) nowait
+            for (std::int64_t z = 0; z < n; ++z) {
+                try {
+                    if (!burner) burner.emplace(net, eos);
+                    burner->burn(zones[z], dt, opt, load, store, out[z]);
+                } catch (...) {
+#pragma omp critical(exa_burn_zones_error)
+                    if (!error) error = std::current_exception();
+                }
+            }
+        }
+        if (error) std::rethrow_exception(error);
+        return;
+    }
+#endif
+    ThreadZoneBurner burner(net, eos);
+    for (std::int64_t z = 0; z < n; ++z) {
+        burner.burn(zones[z], dt, opt, load, store, out[z]);
+    }
 }
 
 Real edotOf(const ReactionNetwork& net, const Eos& eos, Real rho, Real T,

@@ -5,6 +5,8 @@
 #include "microphysics/eos.hpp"
 #include "microphysics/network.hpp"
 
+#include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -107,6 +109,15 @@ struct BurnGridStats {
     double imbalance() const {
         return total_steps > 0 ? static_cast<double>(max_steps) / meanSteps() : 1.0;
     }
+    // Serial-order accounting of one zone, shared by every grid driver so
+    // the counters mean the same thing everywhere; each returns the steps
+    // charged to the zone. A skipped (inert) zone costs 1 step; a burned
+    // zone max(steps, 1), which may raise max_steps; a failed zone
+    // steps+1, which leaves max_steps alone and becomes first_failure if
+    // none was recorded yet.
+    std::int64_t addSkipped();
+    std::int64_t addBurned(std::int64_t steps);
+    std::int64_t addFailed(std::int64_t steps, const BurnFailureSite& site);
     void merge(const BurnGridStats& o) {
         zones += o.zones;
         total_steps += o.total_steps;
@@ -117,6 +128,49 @@ struct BurnGridStats {
     // "zone (i,j,k) of fab F [level L]: rho=..., T=..." (empty when none).
     std::string describeFailure() const;
 };
+
+// --- Zone-parallel host burn loop ------------------------------------------
+
+// One zone of a MultiFab-wide burn list: its fab and its cell.
+struct BurnZoneRef {
+    int fab = 0;
+    int i = 0, j = 0, k = 0;
+};
+
+// What burnZones did with one listed zone.
+struct BurnZoneOutcome {
+    bool burned = false;     // false: the loader skipped the zone
+    bool success = false;    // the integrator succeeded (burned zones)
+    std::int64_t steps = 0;  // integrator steps (burned zones)
+    Real rho = 0.0, T = 0.0; // pre-burn state as loaded (burned zones)
+};
+
+// Reads one zone's pre-burn state into rho, T and X[0..nspec) and returns
+// true, or returns false to skip the zone (too cold or dilute to burn).
+using BurnZoneLoader =
+    std::function<bool(const BurnZoneRef&, Real& rho, Real& T, Real* X)>;
+// Writes one successful burn back; never called for a failed zone, which
+// keeps its pre-burn state.
+using BurnZoneStorer =
+    std::function<void(const BurnZoneRef&, Real rho, const BurnResult&)>;
+
+// The host burn loop of the per-zone grid drivers: burn every listed zone
+// over dt and fill out[z] for zones[z]. On Backend::OpenMP the zones run
+// in parallel, one zone per task under a dynamic schedule so threads
+// balance the stiff zones among themselves; every thread owns its BurnOde,
+// BurnWorkspace and BurnResult. On every other backend — and whenever a
+// fault site is armed, so injections fire on the same zones everywhere —
+// the loop runs in list order on the calling thread. Each zone's
+// arithmetic is that of burnZoneInto, so results are bit-identical on
+// every backend.
+//
+// Thread-safety contract: the network and EOS must be callable
+// concurrently through their const interfaces, and `load`/`store` may
+// touch only the zone they are given (the ParallelFor contract).
+void burnZones(const ReactionNetwork& net, const Eos& eos,
+               const std::vector<BurnZoneRef>& zones, Real dt,
+               const OdeOptions& opt, const BurnZoneLoader& load,
+               const BurnZoneStorer& store, std::vector<BurnZoneOutcome>& out);
 
 // The KernelInfo of a burn launch for an N-species network: per-thread
 // register demand grows with the (N+1)^2 Jacobian (the paper's Volta

@@ -1,9 +1,11 @@
-// The batched grid burn driver: reactState(batched=true) must be
-// bit-identical to the per-zone path on every backend — state, stats,
-// skipped zones, failure attribution, and the CostMonitor work channel —
-// while routing the stiff tail and surviving fault injection with the
-// same first-failure semantics. Plus the WD-collision driver defaults
-// that turn the engine on.
+// The grid burn drivers. reactState(batched=true) must be bit-identical to
+// the per-zone path on every backend — state, stats, skipped zones,
+// failure attribution, and the CostMonitor work channel — while routing
+// the stiff tail and surviving fault injection with the same
+// first-failure semantics. The per-zone path itself, which burns zones in
+// parallel on OpenMP, must match the Serial backend bit for bit, armed
+// fault sites included. Plus the WD-collision driver defaults that turn
+// the batched engine on.
 #include "castro/react.hpp"
 
 #include "castro/state.hpp"
@@ -11,6 +13,8 @@
 #include "core/executor.hpp"
 #include "core/fault.hpp"
 #include "mesh/multifab.hpp"
+
+#include "../support/burn_checks.hpp"
 
 #include <gtest/gtest.h>
 
@@ -20,6 +24,9 @@
 
 using namespace exa;
 using namespace exa::castro;
+using exa::test::AtLeastTwoThreads;
+using exa::test::expectBitIdentical;
+using exa::test::expectStatsEqual;
 
 namespace {
 
@@ -77,39 +84,6 @@ struct Workload {
         return out;
     }
 };
-
-// Bitwise comparison over every fab and component of the valid regions.
-void expectBitIdentical(const MultiFab& a, const MultiFab& b) {
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t f = 0; f < a.size(); ++f) {
-        auto ua = a.const_array(static_cast<int>(f));
-        auto ub = b.const_array(static_cast<int>(f));
-        const Box& vb = a.box(static_cast<int>(f));
-        for (int n = 0; n < a.nComp(); ++n)
-            for (int k = vb.smallEnd(2); k <= vb.bigEnd(2); ++k)
-                for (int j = vb.smallEnd(1); j <= vb.bigEnd(1); ++j)
-                    for (int i = vb.smallEnd(0); i <= vb.bigEnd(0); ++i) {
-                        ASSERT_EQ(ua(i, j, k, n), ub(i, j, k, n))
-                            << "fab " << f << " comp " << n << " zone (" << i
-                            << "," << j << "," << k << ")";
-                    }
-    }
-}
-
-void expectStatsEqual(const BurnGridStats& a, const BurnGridStats& b) {
-    EXPECT_EQ(a.zones, b.zones);
-    EXPECT_EQ(a.total_steps, b.total_steps);
-    EXPECT_EQ(a.max_steps, b.max_steps);
-    EXPECT_EQ(a.failures, b.failures);
-    EXPECT_EQ(a.first_failure.valid, b.first_failure.valid);
-    if (a.first_failure.valid) {
-        EXPECT_EQ(a.first_failure.i, b.first_failure.i);
-        EXPECT_EQ(a.first_failure.j, b.first_failure.j);
-        EXPECT_EQ(a.first_failure.k, b.first_failure.k);
-        EXPECT_EQ(a.first_failure.fab, b.first_failure.fab);
-        EXPECT_EQ(a.first_failure.level, b.first_failure.level);
-    }
-}
 
 // The traversal-order-first reacting zone (fab, then k/j/i) — what the
 // serial path hits first and what both paths must report as the first
@@ -187,6 +161,35 @@ TEST_P(ReactBatchedBackends, HybridTailMatchesSerialBitwise) {
     EXPECT_GT(rep.tail_zones, 0) << "tail cut " << rep.stiffness_tail_cut
                                  << " median " << rep.stiffness_median;
     EXPECT_GT(rep.batches, 0);
+}
+
+TEST_P(ReactBatchedBackends, PerZonePathMatchesSerialBackendBitwise) {
+    // The per-zone path burns zone-parallel on OpenMP; the launch shaping
+    // of hybrid_cpu_outliers reads the per-zone steps afterwards. Neither
+    // may move a bit of state or a count away from the Serial backend.
+    AtLeastTwoThreads threads;
+    const auto& net = testNet();
+    Eos eos{HelmLiteEos{}};
+    Workload w(net);
+    for (const bool hybrid : {false, true}) {
+        ReactOptions o;
+        o.hybrid_cpu_outliers = hybrid;
+        auto ref = w.copy();
+        auto got = w.copy();
+        BurnGridStats rs, gs;
+        {
+            ScopedBackend sb(Backend::Serial);
+            rs = reactState(ref, net, eos, kDt, o);
+        }
+        {
+            ScopedBackend sb(GetParam());
+            gs = reactState(got, net, eos, kDt, o);
+        }
+        SCOPED_TRACE(hybrid ? "hybrid" : "plain");
+        expectStatsEqual(rs, gs);
+        expectBitIdentical(ref, got);
+        EXPECT_GT(gs.total_steps, gs.zones);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, ReactBatchedBackends,
@@ -314,6 +317,43 @@ TEST(ReactBatched, SingleFaultFailsExactlyOneZoneAndLeavesItUntouched) {
     EXPECT_GE(site.T, 5.0e7);
     for (int n = 0; n < burned.nComp(); ++n) {
         EXPECT_EQ(ub(site.i, site.j, site.k, n), u0(site.i, site.j, site.k, n));
+    }
+}
+
+TEST(ReactPerZone, ArmedFaultFailsTheSameZonesOnOpenMPAsSerial) {
+    // An armed site forces the zone-parallel loop into serial order, so
+    // a window and an unbounded spec fail the same zones on both
+    // backends: same count, same first failure, same state.
+    AtLeastTwoThreads threads;
+    const auto& net = testNet();
+    Eos eos{HelmLiteEos{}};
+    Workload w(net);
+    fault::Spec window; // hits 40, 45, ..., 60 fire
+    window.start = 40;
+    window.count = 25;
+    window.stride = 5;
+    fault::Spec forever;
+    forever.count = 0; // unbounded
+    for (const auto& spec : {window, forever}) {
+        auto ser = w.copy();
+        auto omp = w.copy();
+        BurnGridStats ss, os;
+        {
+            ScopedBackend sb(Backend::Serial);
+            fault::ScopedFault arm(fault::Site::BurnZoneFailure, spec);
+            ss = reactState(ser, net, eos, kDt, ReactOptions{});
+        }
+        {
+            ScopedBackend sb(Backend::OpenMP);
+            fault::ScopedFault arm(fault::Site::BurnZoneFailure, spec);
+            os = reactState(omp, net, eos, kDt, ReactOptions{});
+        }
+        SCOPED_TRACE(spec.count == 0 ? "forever" : "window");
+        const std::int64_t ncold = 16 / 4 * 16 * 16;
+        EXPECT_EQ(ss.failures, spec.count == 0 ? ss.zones - ncold : 5);
+        ASSERT_TRUE(os.first_failure.valid);
+        expectStatsEqual(ss, os);
+        expectBitIdentical(ser, omp);
     }
 }
 

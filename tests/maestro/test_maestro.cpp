@@ -40,12 +40,14 @@ TEST(BaseState, IndexClamping) {
 namespace {
 
 std::unique_ptr<Maestro> makeBubbleNoReact(int n) {
+    // The Maestro keeps a reference to its network: one process-lifetime
+    // instance serves every test.
+    static const ReactionNetwork net = makeIgnitionSimple();
     BubbleParams p;
     p.ncell = n;
     p.max_grid_size = std::max(8, n / 2);
     p.do_react = false;
-    auto net_local = new ReactionNetwork(makeIgnitionSimple()); // kept alive
-    return p.build(*net_local);
+    return p.build(net);
 }
 
 } // namespace

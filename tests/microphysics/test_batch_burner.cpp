@@ -3,17 +3,24 @@
 // the allocating path, BatchBurner output matches per-zone burnZone
 // exactly (sorted or not, hybrid tail or not), the stiffness sort routes
 // the tail as reported, and the network registry resolves every built-in
-// by name (with a helpful error for unknown names).
+// by name (with a helpful error for unknown names). Plus the contract of
+// the zone-parallel host loop burnZones: serial list order while a fault
+// site is armed, and exceptions forwarded out of the OpenMP threads.
 #include "microphysics/batch_burner.hpp"
 
 #include "core/executor.hpp"
+#include "core/fault.hpp"
+
+#include "../support/burn_checks.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 using namespace exa;
@@ -270,6 +277,74 @@ TEST(BatchBurner, SparseSolverPathMatchesPerZone) {
 }
 
 // --- Network registry ----------------------------------------------------
+
+// --- The zone-parallel host loop -----------------------------------------
+
+TEST(BurnZones, ArmedFaultSiteKeepsSerialListOrder) {
+    // The burn fault site counts hits in call order, so while a site is
+    // armed the OpenMP loop must load every zone in list order on the
+    // calling thread.
+    exa::test::AtLeastTwoThreads threads;
+    const auto net = makeNetworkByName("iso7");
+    Eos eos{HelmLiteEos{}};
+    const auto X = fuelX(net);
+    std::vector<BurnZoneRef> zones;
+    for (int i = 0; i < 64; ++i) zones.push_back({0, i, 0, 0});
+
+    std::mutex mu;
+    std::vector<int> order;
+    std::vector<std::thread::id> loaders;
+    auto load = [&](const BurnZoneRef& z, Real& rho, Real& T, Real* Xz) {
+        {
+            std::lock_guard<std::mutex> lk(mu);
+            order.push_back(z.i);
+            loaders.push_back(std::this_thread::get_id());
+        }
+        rho = 1.0e7;
+        T = 1.5e8;
+        std::copy(X.begin(), X.end(), Xz);
+        return true;
+    };
+    auto store = [](const BurnZoneRef&, Real, const BurnResult&) {};
+
+    fault::Spec never; // armed, but no hit reaches the window
+    never.start = std::int64_t(1) << 40;
+    ScopedBackend sb(Backend::OpenMP);
+    fault::ScopedFault arm(fault::Site::BurnZoneFailure, never);
+    std::vector<BurnZoneOutcome> out;
+    burnZones(net, eos, zones, 1.0e-7, OdeOptions{}, load, store, out);
+
+    ASSERT_EQ(order.size(), zones.size());
+    for (std::size_t z = 0; z < zones.size(); ++z) {
+        EXPECT_EQ(order[z], static_cast<int>(z));
+        EXPECT_EQ(loaders[z], std::this_thread::get_id()) << "zone " << z;
+        EXPECT_TRUE(out[z].burned && out[z].success) << "zone " << z;
+    }
+}
+
+TEST(BurnZones, ExceptionsReachTheCallerOnEveryBackend) {
+    exa::test::AtLeastTwoThreads threads;
+    const auto net = makeNetworkByName("iso7");
+    Eos eos{HelmLiteEos{}};
+    const auto X = fuelX(net);
+    std::vector<BurnZoneRef> zones;
+    for (int i = 0; i < 32; ++i) zones.push_back({0, i, 0, 0});
+    auto load = [&](const BurnZoneRef& z, Real& rho, Real& T, Real* Xz) {
+        if (z.i == 7) throw std::runtime_error("unreadable zone");
+        rho = 1.0e7;
+        T = 1.5e8;
+        std::copy(X.begin(), X.end(), Xz);
+        return true;
+    };
+    auto store = [](const BurnZoneRef&, Real, const BurnResult&) {};
+    for (const Backend b : {Backend::Serial, Backend::OpenMP}) {
+        ScopedBackend sb(b);
+        std::vector<BurnZoneOutcome> out;
+        EXPECT_THROW(burnZones(net, eos, zones, 1.0e-7, OdeOptions{}, load, store, out),
+                     std::runtime_error)
+            << backendName(b);
+    }
+}
 
 TEST(NetworkRegistry, BuiltInsResolveByName) {
     auto& reg = NetworkRegistry::instance();
