@@ -24,12 +24,24 @@ ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD="${ROOT}/build-sanitize-${SAN//;/-}"
 
 # Repeated `ctest -L` flags AND together; one regex is the union.
-LABELS='rebalance|debug-backend|amr|burn|maestro|resilience|ensemble|gravity'
+if [[ "${SAN}" == *thread* ]]; then
+    # A TSan build leaves OpenMP out (see CMakeLists.txt: TSan cannot see
+    # libgomp's barriers), so core, burn and maestro run their OpenMP
+    # cases on the Serial loops; the threads TSan checks are the ensemble
+    # workers and the checkpoint drain thread (resilience). The
+    # single-threaded debug-backend reruns would only add hours.
+    LABELS='core|burn|maestro|ensemble|resilience'
+    EXCLUDE='debug-backend'
+else
+    LABELS='core|rebalance|debug-backend|amr|burn|maestro|resilience|ensemble|gravity'
+    EXCLUDE='^$'
+fi
 
 cmake -B "${BUILD}" -S "${ROOT}" -DEXA_SANITIZE="${SAN}" \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "${BUILD}" -j "$(nproc)"
-ctest --test-dir "${BUILD}" --output-on-failure -j "$(nproc)" -L "${LABELS}"
+ctest --test-dir "${BUILD}" --output-on-failure -j "$(nproc)" -L "${LABELS}" \
+      -LE "${EXCLUDE}"
 
 # Seeded 3-fault campaign smoke test: the supervised Sedov campaign
 # (rank-failure + halo-payload-corrupt + checkpoint-bit-flip) end to end

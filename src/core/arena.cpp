@@ -4,6 +4,7 @@
 #include "core/fault.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -369,7 +370,10 @@ std::string GuardArena::report() const {
 // --- Global arena selection ----------------------------------------------
 
 namespace {
-Arena* g_the_arena = nullptr;
+// Null until set or first resolved from EXA_ARENA. Atomic because
+// ensemble workers make their first allocations concurrently: the lazy
+// resolution in The_Arena() was a data race (TSan).
+std::atomic<Arena*> g_the_arena{nullptr};
 }
 
 PoolArena& thePoolArena() {
@@ -398,10 +402,13 @@ Arena* arenaFromName(const char* name) {
 Arena* defaultArena() { return arenaFromName(std::getenv("EXA_ARENA")); }
 
 Arena* The_Arena() {
-    if (g_the_arena == nullptr) g_the_arena = defaultArena();
-    return g_the_arena;
+    Arena* a = g_the_arena.load(std::memory_order_acquire);
+    if (a != nullptr) return a;
+    // Racing first callers resolve the same default; the first store wins.
+    Arena* def = defaultArena();
+    return g_the_arena.compare_exchange_strong(a, def, std::memory_order_acq_rel) ? def : a;
 }
 
-void setTheArena(Arena* a) { g_the_arena = a; }
+void setTheArena(Arena* a) { g_the_arena.store(a, std::memory_order_release); }
 
 } // namespace exa

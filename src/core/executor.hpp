@@ -103,7 +103,11 @@ private:
     static int s_num_streams;
     // Thread-local: ensemble workers each select a stream for their tenant
     // (StreamScope) and must not race on — or clobber — each other's slot.
-    static thread_local int s_current_stream;
+    // Defined inline with a constant initializer, so every access is a
+    // plain TLS load/store. Out of line, other translation units reach it
+    // through a TLS wrapper function, and GCC's UBSan null check misfires
+    // on that path ("store to null pointer" on worker threads).
+    static inline thread_local int s_current_stream = 0;
 };
 
 // Exception-safe stream selection: captures the current stream on entry

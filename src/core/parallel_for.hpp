@@ -6,7 +6,13 @@
 // resources:
 //
 //   * Serial  — triply-nested loop, k outermost (Fortran-friendly order).
-//   * OpenMP  — `omp parallel for` over the k (or flattened k*j) range.
+//   * OpenMP  — work-aware: a launch whose declared work (zones x ncomp x
+//               KernelInfo::flops_per_zone, the cost the device model
+//               prices) is below kOmpInlineFlops runs inline as the Serial
+//               loop; a larger one runs `omp parallel for` over the k (or
+//               flattened k*j) range. A launch issued from inside an
+//               OpenMP parallel region always runs inline on the calling
+//               thread — it never starts a nested team.
 //   * SimGpu  — identical arithmetic to Serial (so results are
 //               bit-reproducible across backends), plus a LaunchRecord
 //               sent to the device model, which charges modeled GPU time.
@@ -31,7 +37,30 @@
 
 namespace exa {
 
+// Declared work (zones x ncomp x KernelInfo::flops_per_zone) below which
+// an OpenMP launch runs inline instead of forking a team. Set from the
+// crossover sweep of bench/bench_launch_policy (EXPERIMENTS.md E19): on a
+// 4-core x86 host a fork/join costs 1-2 us, and threading a launch at 2
+// or 4 threads starts to pay at 21k-32k declared flops for the streaming
+// and mg_smooth kernels (between 27k and 91k for hydro_flux).
+inline constexpr double kOmpInlineFlops = 32768.0;
+
 namespace detail {
+
+// The Backend::OpenMP launch policy: true when a launch of `zones` zones
+// x `ncomp` components should run inline on the calling thread.
+inline bool omp_inline(const KernelInfo& ki, std::int64_t zones, int ncomp) {
+#if defined(EXA_USE_OPENMP)
+    // Inside any enclosing parallel region (omp_get_level() also counts a
+    // one-thread team, which omp_in_parallel() does not) a nested team
+    // would only add fork/join cost to a thread that is already busy.
+    if (omp_get_level() > 0) return true;
+    return static_cast<double>(zones) * ncomp * ki.flops_per_zone < kOmpInlineFlops;
+#else
+    (void)ki, (void)zones, (void)ncomp;
+    return true;
+#endif
+}
 
 template <typename F>
 inline void serial_for(const Box& box, F&& f) {
@@ -81,6 +110,40 @@ inline void omp_for(const Box& box, int ncomp, F&& f) {
                     f(i, j, k, n);
 }
 
+// Reduce `f` over `box` with `combine`, one partial per (k, j) pencil in i
+// order, the partials combined in pencil order. The association is the
+// same whether the pencils ran on one thread or many, so every backend
+// and every thread count gives the same bits.
+template <typename C, typename F>
+inline Real reduce_pencils(const Box& box, bool threaded, Real init, C&& combine, F&& f) {
+    const Dim3 lo = box.loDim3();
+    const Dim3 hi = box.hiDim3();
+    auto pencil = [&](int j, int k) {
+        Real p = init;
+        for (int i = lo.x; i <= hi.x; ++i) p = combine(p, f(i, j, k));
+        return p;
+    };
+    Real r = init;
+#if defined(EXA_USE_OPENMP)
+    if (threaded) {
+        const int ny = hi.y - lo.y + 1;
+        std::vector<Real> partial(static_cast<std::size_t>(ny) * (hi.z - lo.z + 1));
+#pragma omp parallel for collapse(2) schedule(static)
+        for (int k = lo.z; k <= hi.z; ++k)
+            for (int j = lo.y; j <= hi.y; ++j)
+                partial[static_cast<std::size_t>(k - lo.z) * ny + (j - lo.y)] = pencil(j, k);
+        for (const Real p : partial) r = combine(r, p);
+        return r;
+    }
+#else
+    (void)threaded;
+#endif
+    for (int k = lo.z; k <= hi.z; ++k)
+        for (int j = lo.y; j <= hi.y; ++j)
+            r = combine(r, pencil(j, k));
+    return r;
+}
+
 inline void record_launch(const KernelInfo& ki, std::int64_t zones, int ncomp) {
     LaunchRecord r;
     r.info = ki;
@@ -102,7 +165,11 @@ void ParallelFor(const KernelInfo& ki, const Box& box, F&& f) {
             detail::serial_for(box, std::forward<F>(f));
             break;
         case Backend::OpenMP:
-            detail::omp_for(box, std::forward<F>(f));
+            if (detail::omp_inline(ki, box.numPts(), 1)) {
+                detail::serial_for(box, std::forward<F>(f));
+            } else {
+                detail::omp_for(box, std::forward<F>(f));
+            }
             break;
         case Backend::SimGpu:
             detail::record_launch(ki, box.numPts(), 1);
@@ -129,7 +196,11 @@ void ParallelFor(const KernelInfo& ki, const Box& box, int ncomp, F&& f) {
             detail::serial_for(box, ncomp, std::forward<F>(f));
             break;
         case Backend::OpenMP:
-            detail::omp_for(box, ncomp, std::forward<F>(f));
+            if (detail::omp_inline(ki, box.numPts(), ncomp)) {
+                detail::serial_for(box, ncomp, std::forward<F>(f));
+            } else {
+                detail::omp_for(box, ncomp, std::forward<F>(f));
+            }
             break;
         case Backend::SimGpu:
             detail::record_launch(ki, box.numPts(), ncomp);
@@ -159,7 +230,7 @@ void ParallelFor(const KernelInfo& ki, std::int64_t n, F&& f) {
         detail::record_launch(ki, n, 1);
     }
 #if defined(EXA_USE_OPENMP)
-    if (ExecConfig::backend() == Backend::OpenMP) {
+    if (ExecConfig::backend() == Backend::OpenMP && !detail::omp_inline(ki, n, 1)) {
 #pragma omp parallel for schedule(static)
         for (std::int64_t i = 0; i < n; ++i) f(i);
         return;
@@ -175,44 +246,22 @@ void ParallelFor(std::int64_t n, F&& f) {
 
 // --- Reductions ----------------------------------------------------------
 //
-// Reductions are launches too (the device model charges them), but the
-// accumulation order is fixed (serial zone order) on every backend except
-// OpenMP so results stay deterministic. OpenMP sums are reproducible run
-// to run for a given thread count: each thread sums its static share and
-// the partials are added in thread order (a reduction clause would add
-// them in the order threads finish).
+// Reductions are launches too (the device model charges them). Every
+// backend accumulates in the same fixed order — one partial per (k, j)
+// pencil, partials combined in pencil order (detail::reduce_pencils) —
+// so OpenMP results equal Serial's bit for bit at any thread count, and
+// it does not matter whether the launch policy ran a reduction inline.
 
 template <typename F>
 Real ParallelReduceSum(const KernelInfo& ki, const Box& box, F&& f) {
     if (!box.ok()) return 0.0;
-    if (ExecConfig::backend() == Backend::SimGpu) {
+    const Backend be = ExecConfig::backend();
+    if (be == Backend::SimGpu) {
         detail::record_launch(ki, box.numPts(), 1);
     }
-    Real s = 0.0;
-    const Dim3 lo = box.loDim3();
-    const Dim3 hi = box.hiDim3();
-#if defined(EXA_USE_OPENMP)
-    if (ExecConfig::backend() == Backend::OpenMP) {
-        std::vector<Real> partial(static_cast<std::size_t>(omp_get_max_threads()), 0.0);
-#pragma omp parallel
-        {
-            Real mine = 0.0;
-#pragma omp for collapse(2) schedule(static) nowait
-            for (int k = lo.z; k <= hi.z; ++k)
-                for (int j = lo.y; j <= hi.y; ++j)
-                    for (int i = lo.x; i <= hi.x; ++i)
-                        mine += f(i, j, k);
-            partial[static_cast<std::size_t>(omp_get_thread_num())] = mine;
-        }
-        for (const Real p : partial) s += p;
-        return s;
-    }
-#endif
-    for (int k = lo.z; k <= hi.z; ++k)
-        for (int j = lo.y; j <= hi.y; ++j)
-            for (int i = lo.x; i <= hi.x; ++i)
-                s += f(i, j, k);
-    return s;
+    const bool threaded = be == Backend::OpenMP && !detail::omp_inline(ki, box.numPts(), 1);
+    return detail::reduce_pencils(
+        box, threaded, 0.0, [](Real a, Real b) { return a + b; }, std::forward<F>(f));
 }
 
 template <typename F>
@@ -226,27 +275,14 @@ Real ParallelReduceMax(const KernelInfo& ki, const Box& box, F&& f) {
     // Identity of max: an empty box (or empty MultiFab) reduces to -inf,
     // so that max(empty, x) == x for every finite x.
     if (!box.ok()) return -std::numeric_limits<Real>::infinity();
-    if (ExecConfig::backend() == Backend::SimGpu) {
+    const Backend be = ExecConfig::backend();
+    if (be == Backend::SimGpu) {
         detail::record_launch(ki, box.numPts(), 1);
     }
-    Real m = -std::numeric_limits<Real>::infinity();
-    const Dim3 lo = box.loDim3();
-    const Dim3 hi = box.hiDim3();
-#if defined(EXA_USE_OPENMP)
-    if (ExecConfig::backend() == Backend::OpenMP) {
-#pragma omp parallel for collapse(2) reduction(max : m) schedule(static)
-        for (int k = lo.z; k <= hi.z; ++k)
-            for (int j = lo.y; j <= hi.y; ++j)
-                for (int i = lo.x; i <= hi.x; ++i)
-                    m = std::max(m, f(i, j, k));
-        return m;
-    }
-#endif
-    for (int k = lo.z; k <= hi.z; ++k)
-        for (int j = lo.y; j <= hi.y; ++j)
-            for (int i = lo.x; i <= hi.x; ++i)
-                m = std::max(m, f(i, j, k));
-    return m;
+    const bool threaded = be == Backend::OpenMP && !detail::omp_inline(ki, box.numPts(), 1);
+    return detail::reduce_pencils(
+        box, threaded, -std::numeric_limits<Real>::infinity(),
+        [](Real a, Real b) { return std::max(a, b); }, std::forward<F>(f));
 }
 
 template <typename F>
