@@ -8,6 +8,8 @@
 # threads, and the resilience suite hands staged checkpoint buffers to a
 # background drain thread — under TSan that covers the
 # main-thread/drain-thread handshake the runtime checkers cannot see.
+# Under ASan/UBSan the async-comm suite runs the split and fused halo
+# paths (pack buffers, interior/shell sweeps) outside the debug backend.
 # The combination is where sanitizers catch what the runtime checkers
 # cannot, and vice versa. A seeded multi-fault campaign smoke test runs
 # last: rank failures + halo corruption + a checkpoint bit flip through
@@ -33,7 +35,7 @@ if [[ "${SAN}" == *thread* ]]; then
     LABELS='core|burn|maestro|ensemble|resilience'
     EXCLUDE='debug-backend'
 else
-    LABELS='core|rebalance|debug-backend|amr|burn|maestro|resilience|ensemble|gravity'
+    LABELS='core|rebalance|debug-backend|amr|burn|maestro|resilience|ensemble|gravity|async-comm'
     EXCLUDE='^$'
 fi
 

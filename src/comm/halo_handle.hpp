@@ -28,6 +28,7 @@
 
 namespace exa {
 
+class BoxArray;
 class MultiFab;
 
 namespace comm {
@@ -58,26 +59,50 @@ private:
     std::unique_ptr<Impl> m_impl;
 };
 
-// Process-wide switch for the split-phase machinery (default on). When
-// off, the _nowait entry points execute the fused path immediately and
-// return an already-finished handle, and the drivers take their original
-// fused branches — the knob the bit-identity tests and bench_async_halo
-// flip to compare overlap on/off.
-void setAsyncHalo(bool enabled);
-bool asyncHalo();
+// Process-wide overlap policy. Splitting an exchange costs a staged copy
+// of every payload at post time and thin-shell launches after finish(),
+// and hides network time only behind the interior sweep, so it pays on
+// large boxes and loses on small ones (EXPERIMENTS.md E11, E20).
+//   Never  — the _nowait entry points run the fused path immediately and
+//            return an already-finished handle; every site runs fused.
+//   Auto   — (default) each site splits only where overlapPays() says so.
+//   Always — every site splits, whatever its layout.
+enum class HaloOverlap { Never, Auto, Always };
+void setHaloOverlap(HaloOverlap mode);
+HaloOverlap haloOverlap();
 
-// RAII toggle (mirrors the comm-cache tests' ScopedCacheDisabled idiom).
+// Interior fraction (zones whose stencil reads no ghost zone / valid
+// zones of the layout) from which a split site is taken to hide more
+// than it adds. From the crossover sweep of bench/bench_async_halo
+// (EXPERIMENTS.md E20): split starts to win between 0.77 and 0.82 for
+// the PLM Castro stage and between 0.94 and 0.95 for the multigrid
+// smoother, whose 32^3 boxes (a loss) have the fraction of a PLM stage's
+// 64^3 boxes (a win), so no one value fits every site. 0.85 is the
+// smallest that keeps every layout of 32^3 or smaller boxes fused at
+// stencils 1-3.
+inline constexpr double kOverlapMinInterior = 0.85;
+
+// Whether a site should post its exchange split-phase on layout `ba` at
+// `stencil` ghost width: false under Never, true under Always, and under
+// Auto true when the layout's interior fraction (stored with its cached
+// CopierCache::interiorPartition plan) reaches kOverlapMinInterior.
+bool overlapPays(const BoxArray& ba, int stencil);
+
+// RAII override (mirrors the comm-cache tests' ScopedCacheDisabled
+// idiom): true forces Always, false forces Never.
 class ScopedAsyncHalo {
 public:
-    explicit ScopedAsyncHalo(bool enabled) : m_saved(asyncHalo()) {
-        setAsyncHalo(enabled);
+    explicit ScopedAsyncHalo(HaloOverlap mode) : m_saved(haloOverlap()) {
+        setHaloOverlap(mode);
     }
-    ~ScopedAsyncHalo() { setAsyncHalo(m_saved); }
+    explicit ScopedAsyncHalo(bool enabled)
+        : ScopedAsyncHalo(enabled ? HaloOverlap::Always : HaloOverlap::Never) {}
+    ~ScopedAsyncHalo() { setHaloOverlap(m_saved); }
     ScopedAsyncHalo(const ScopedAsyncHalo&) = delete;
     ScopedAsyncHalo& operator=(const ScopedAsyncHalo&) = delete;
 
 private:
-    bool m_saved;
+    HaloOverlap m_saved;
 };
 
 } // namespace comm

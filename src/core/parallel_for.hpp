@@ -11,8 +11,9 @@
 //               prices) is below kOmpInlineFlops runs inline as the Serial
 //               loop; a larger one runs `omp parallel for` over the k (or
 //               flattened k*j) range. A launch issued from inside an
-//               OpenMP parallel region always runs inline on the calling
-//               thread — it never starts a nested team.
+//               OpenMP parallel region, or with one OpenMP thread to
+//               run on, always runs inline on the calling thread — it
+//               never starts a nested or one-thread team.
 //   * SimGpu  — identical arithmetic to Serial (so results are
 //               bit-reproducible across backends), plus a LaunchRecord
 //               sent to the device model, which charges modeled GPU time.
@@ -55,6 +56,9 @@ inline bool omp_inline(const KernelInfo& ki, std::int64_t zones, int ncomp) {
     // one-thread team, which omp_in_parallel() does not) a nested team
     // would only add fork/join cost to a thread that is already busy.
     if (omp_get_level() > 0) return true;
+    // A one-thread team has nothing to share out and still pays the fork
+    // (E19's 1-thread rows: 11-16 % slower than inline above the threshold).
+    if (omp_get_max_threads() == 1) return true;
     return static_cast<double>(zones) * ncomp * ki.flops_per_zone < kOmpInlineFlops;
 #else
     (void)ki, (void)zones, (void)ncomp;

@@ -1,5 +1,6 @@
 #include "maestro/maestro.hpp"
 
+#include "castro/hydro.hpp"
 #include "core/executor.hpp"
 #include "core/parallel_for.hpp"
 #include "core/timer.hpp"
@@ -10,22 +11,6 @@
 #include <sstream>
 
 namespace exa::maestro {
-
-namespace {
-
-// MC-limited slope (local copy of the hydro limiter, on maestro state).
-EXA_FORCE_INLINE Real mcSlope(Array4<const Real> q, int i, int j, int k, int n,
-                              int d) {
-    const IntVect e = IntVect::basis(d);
-    const Real dl = q(i, j, k, n) - q(i - e.x, j - e.y, k - e.z, n);
-    const Real dr = q(i + e.x, j + e.y, k + e.z, n) - q(i, j, k, n);
-    if (dl * dr <= 0.0) return 0.0;
-    const Real dc = 0.5 * (dl + dr);
-    const Real lim = 2.0 * std::min(std::abs(dl), std::abs(dr));
-    return std::copysign(std::min(std::abs(dc), lim), dc);
-}
-
-} // namespace
 
 Maestro::Maestro(const Geometry& geom, const BoxArray& ba,
                  const DistributionMapping& dm, const ReactionNetwork& net,
@@ -155,11 +140,12 @@ void Maestro::advect(Real dt) {
                                 // face between (ii,jj,kk)-e and (ii,jj,kk)
                                 if (uf >= 0.0) {
                                     return q(ii - e.x, jj - e.y, kk - e.z, n) +
-                                           0.5 * mcSlope(q, ii - e.x, jj - e.y,
-                                                         kk - e.z, n, d);
+                                           0.5 * castro::mcSlope(q, ii - e.x,
+                                                                 jj - e.y,
+                                                                 kk - e.z, n, d);
                                 }
                                 return q(ii, jj, kk, n) -
-                                       0.5 * mcSlope(q, ii, jj, kk, n, d);
+                                       0.5 * castro::mcSlope(q, ii, jj, kk, n, d);
                             };
                             const Real qlo = face(i, j, k, ulo);
                             const Real qhi =
@@ -175,7 +161,7 @@ void Maestro::advect(Real dt) {
                     });
     };
 
-    if (comm::asyncHalo()) {
+    if (comm::overlapPays(m_state.boxArray(), 2)) {
         // Split phase: pack the exchange, copy valid zones and sweep every
         // interior while it is in flight, then deliver ghosts + physical
         // BCs and sweep the boundary shells.

@@ -158,7 +158,8 @@ INSTANTIATE_TEST_SUITE_P(Shapes, ParallelForBoxShapes,
 //
 // A launch whose declared work (zones x ncomp x flops_per_zone) is below
 // kOmpInlineFlops runs inline; a larger one forks a team; any launch from
-// inside a parallel region runs inline on the calling thread.
+// inside a parallel region, or with one thread, runs inline on the calling
+// thread.
 
 namespace {
 
@@ -304,6 +305,22 @@ TEST(LaunchPolicy, LaunchInsideAParallelRegionRunsOnTheCallingThread) {
         if (omp_get_level() == 1) forked.store(1);
     });
     EXPECT_EQ(forked.load(), 1);
+#endif
+}
+
+TEST(LaunchPolicy, OneThreadRunsAboveTheThresholdInline) {
+#if !defined(EXA_USE_OPENMP)
+    GTEST_SKIP() << "built without OpenMP";
+#else
+    ScopedThreads threads(1);
+    ScopedBackend sb(Backend::OpenMP);
+    // One thread, so the body never runs concurrently with itself.
+    int max_level = -1;
+    ParallelFor(kProbe, kAbove, [&](int, int, int) {
+        max_level = std::max(max_level, omp_get_level());
+    });
+    // A forked one-thread team would report level 1.
+    EXPECT_EQ(max_level, 0);
 #endif
 }
 
