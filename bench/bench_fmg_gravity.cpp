@@ -112,6 +112,20 @@ double busiestRankShare(const DistributionMapping& dm) {
     return static_cast<double>(mx) / static_cast<double>(ranks.size());
 }
 
+// Interior share of the finest level's zones at stencil width 1: the
+// fraction of each half-sweep that can run while its exchange is in
+// flight.
+double interiorFraction(const BoxArray& ba) {
+    const auto part = CopierCache::instance().interiorPartition(ba, 1);
+    double interior = 0.0, total = 0.0;
+    for (std::size_t i = 0; i < part->fabs.size(); ++i) {
+        total += static_cast<double>(ba[static_cast<int>(i)].numPts());
+        if (part->fabs[i].interior.ok())
+            interior += static_cast<double>(part->fabs[i].interior.numPts());
+    }
+    return total > 0.0 ? interior / total : 0.0;
+}
+
 // Per-rank serialized network clock: every recorded message pays its
 // full alpha-beta p2p cost at both endpoints; the solve's network time
 // is the busiest rank's sum.
@@ -194,10 +208,9 @@ Row runCase(const Config& cfg, const RankLayout& layout,
         row.t_smooth = it->second.seconds * f;
     row.t_net = clock.time();
     row.msgs = clock.msgs;
-    if (split) {
-        const auto part = CopierCache::instance().interiorPartition(h.bas[1], 1);
-        row.hidden = std::min(row.t_net, row.t_smooth * part->interior_frac);
-    }
+    if (split)
+        row.hidden =
+            std::min(row.t_net, row.t_smooth * interiorFraction(h.bas[1]));
     clock.detach();
     dev.detach();
     return row;

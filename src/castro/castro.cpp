@@ -81,8 +81,7 @@ void Castro::fillGhosts(MultiFab& s) {
 }
 
 double Castro::stageRhs(MultiFab& s, MultiFab& dudt) {
-    const int stencil = stencilWidth(m_opt.reconstruction);
-    if (!comm::overlapPays(s.boxArray(), stencil)) {
+    if (!comm::asyncHalo()) {
         fillGhosts(s);
         WallTimer compute;
         molRhs(s, dudt, m_geom, m_net, m_eos, nullptr, m_opt.reconstruction);
@@ -94,7 +93,8 @@ double Castro::stageRhs(MultiFab& s, MultiFab& dudt) {
     // boundary shells. Any disjoint cover of the valid boxes yields the
     // fused result bit-for-bit.
     comm::HaloHandle halo = s.FillBoundary_nowait(0, s.nComp(), m_geom.periodicity());
-    const auto part = CopierCache::instance().interiorPartition(s.boxArray(), stencil);
+    const auto part = CopierCache::instance().interiorPartition(
+        s.boxArray(), stencilWidth(m_opt.reconstruction));
     double compute_s = 0.0;
     {
         WallTimer compute;

@@ -119,7 +119,7 @@ private:
     // stageRhs timings summed), for the cost monitor.
     double hydroAdvance(Real dt);
     // One RK-stage RHS: ghost fill + molRhs, split-phase (interior sweep
-    // overlapping the halo exchange) where comm::overlapPays() says so.
+    // overlapping the halo exchange) when comm::asyncHalo() is on.
     // Returns wall seconds of the compute sweeps alone — the ghost
     // exchange and physical-BC work are excluded, so the cost monitor's
     // Time channel sees hydro compute, not comm waits.

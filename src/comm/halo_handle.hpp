@@ -28,7 +28,6 @@
 
 namespace exa {
 
-class BoxArray;
 class MultiFab;
 
 namespace comm {
@@ -59,50 +58,32 @@ private:
     std::unique_ptr<Impl> m_impl;
 };
 
-// Process-wide overlap policy. Splitting an exchange costs a staged copy
-// of every payload at post time and thin-shell launches after finish(),
-// and hides network time only behind the interior sweep, so it pays on
-// large boxes and loses on small ones (EXPERIMENTS.md E11, E20).
-//   Never  — the _nowait entry points run the fused path immediately and
-//            return an already-finished handle; every site runs fused.
-//   Auto   — (default) each site splits only where overlapPays() says so.
-//   Always — every site splits, whatever its layout.
-enum class HaloOverlap { Never, Auto, Always };
-void setHaloOverlap(HaloOverlap mode);
-HaloOverlap haloOverlap();
+// Process-wide switch for the split-phase machinery (default off). When
+// off, the _nowait entry points execute the fused path immediately and
+// return an already-finished handle, and the drivers take their original
+// fused branches — the knob the bit-identity tests and bench_async_halo
+// flip to compare overlap on/off. Splitting stages a copy of every
+// payload at post time and adds thin-shell launches after finish(), and
+// hides network time only behind the interior sweep: on the modeled clock
+// the Castro stages win from 64^3 boxes and the multigrid smoother from
+// 128^3, and all of them lose on the 32^3-or-smaller boxes every benchmark
+// workload runs (EXPERIMENTS.md E11, E20). fillPatchTwoLevels, which wins
+// at every size, follows the same switch.
+void setAsyncHalo(bool enabled);
+bool asyncHalo();
 
-// Interior fraction (zones whose stencil reads no ghost zone / valid
-// zones of the layout) from which a split site is taken to hide more
-// than it adds. From the crossover sweep of bench/bench_async_halo
-// (EXPERIMENTS.md E20): split starts to win between 0.77 and 0.82 for
-// the PLM Castro stage and between 0.94 and 0.95 for the multigrid
-// smoother, whose 32^3 boxes (a loss) have the fraction of a PLM stage's
-// 64^3 boxes (a win), so no one value fits every site. 0.85 is the
-// smallest that keeps every layout of 32^3 or smaller boxes fused at
-// stencils 1-3.
-inline constexpr double kOverlapMinInterior = 0.85;
-
-// Whether a site should post its exchange split-phase on layout `ba` at
-// `stencil` ghost width: false under Never, true under Always, and under
-// Auto true when the layout's interior fraction (stored with its cached
-// CopierCache::interiorPartition plan) reaches kOverlapMinInterior.
-bool overlapPays(const BoxArray& ba, int stencil);
-
-// RAII override (mirrors the comm-cache tests' ScopedCacheDisabled
-// idiom): true forces Always, false forces Never.
+// RAII toggle (mirrors the comm-cache tests' ScopedCacheDisabled idiom).
 class ScopedAsyncHalo {
 public:
-    explicit ScopedAsyncHalo(HaloOverlap mode) : m_saved(haloOverlap()) {
-        setHaloOverlap(mode);
+    explicit ScopedAsyncHalo(bool enabled) : m_saved(asyncHalo()) {
+        setAsyncHalo(enabled);
     }
-    explicit ScopedAsyncHalo(bool enabled)
-        : ScopedAsyncHalo(enabled ? HaloOverlap::Always : HaloOverlap::Never) {}
-    ~ScopedAsyncHalo() { setHaloOverlap(m_saved); }
+    ~ScopedAsyncHalo() { setAsyncHalo(m_saved); }
     ScopedAsyncHalo(const ScopedAsyncHalo&) = delete;
     ScopedAsyncHalo& operator=(const ScopedAsyncHalo&) = delete;
 
 private:
-    HaloOverlap m_saved;
+    bool m_saved;
 };
 
 } // namespace comm

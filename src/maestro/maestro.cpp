@@ -161,7 +161,7 @@ void Maestro::advect(Real dt) {
                     });
     };
 
-    if (comm::overlapPays(m_state.boxArray(), 2)) {
+    if (comm::asyncHalo()) {
         // Split phase: pack the exchange, copy valid zones and sweep every
         // interior while it is in flight, then deliver ghosts + physical
         // BCs and sweep the boundary shells.

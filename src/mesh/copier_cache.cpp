@@ -254,13 +254,11 @@ CopierCache::PartitionPtr CopierCache::buildInteriorPartition(const BoxArray& ba
     auto part = std::make_shared<PartitionPlan>();
     part->stencil = stencil;
     part->fabs.resize(ba.size());
-    std::int64_t interior_zones = 0;
     for (std::size_t i = 0; i < ba.size(); ++i) {
         const Box& vb = ba[i];
         FabRegions& fr = part->fabs[i];
         const Box interior = grow(vb, -stencil);
         if (interior.ok()) {
-            interior_zones += interior.numPts();
             fr.interior = interior;
             fr.shell = boxDiff(vb, interior);
         } else {
@@ -269,11 +267,6 @@ CopierCache::PartitionPtr CopierCache::buildInteriorPartition(const BoxArray& ba
             // (empty), which callers must skip.
             fr.shell = {vb};
         }
-    }
-    const std::int64_t valid_zones = ba.numPts();
-    if (valid_zones > 0) {
-        part->interior_frac =
-            static_cast<double>(interior_zones) / static_cast<double>(valid_zones);
     }
     return part;
 }

@@ -59,10 +59,6 @@ struct FabRegions {
 struct PartitionPlan {
     int stencil = 0;
     std::vector<FabRegions> fabs;
-    // Interior zones / valid zones over the whole layout (0 when empty):
-    // the share of a stencil sweep that can run while the exchange is in
-    // flight, which comm::overlapPays() compares with kOverlapMinInterior.
-    double interior_frac = 0.0;
 };
 
 enum class CopierKind : int { FillBoundary = 0, ParallelCopy = 1, AverageDown = 2 };

@@ -34,24 +34,11 @@ namespace exa {
 namespace comm {
 
 namespace {
-HaloOverlap g_overlap = HaloOverlap::Auto;
+bool g_async_halo = false;
 }
 
-void setHaloOverlap(HaloOverlap mode) { g_overlap = mode; }
-HaloOverlap haloOverlap() { return g_overlap; }
-
-bool overlapPays(const BoxArray& ba, int stencil) {
-    switch (g_overlap) {
-    case HaloOverlap::Never:
-        return false;
-    case HaloOverlap::Always:
-        return true;
-    case HaloOverlap::Auto:
-        break;
-    }
-    return CopierCache::instance().interiorPartition(ba, stencil)->interior_frac >=
-           kOverlapMinInterior;
-}
+void setAsyncHalo(bool enabled) { g_async_halo = enabled; }
+bool asyncHalo() { return g_async_halo; }
 
 struct HaloHandle::Impl {
     std::shared_ptr<const CopyPlan> plan;
@@ -159,7 +146,7 @@ void packItems(std::vector<FArrayBox>& staged, const CopyPlan& plan,
 comm::HaloHandle MultiFab::FillBoundary_nowait(int scomp, int ncomp,
                                                const Periodicity& period) {
     assert(scomp + ncomp <= m_ncomp);
-    if (comm::haloOverlap() == comm::HaloOverlap::Never || m_fabs.empty()) {
+    if (!comm::asyncHalo() || m_fabs.empty()) {
         FillBoundary(scomp, ncomp, period);
         return comm::HaloHandle{};
     }
@@ -182,8 +169,7 @@ comm::HaloHandle MultiFab::ParallelCopy_nowait(const MultiFab& src, int scomp,
                                                int dcomp, int ncomp, int dst_ng,
                                                const Periodicity& period) {
     assert(dst_ng <= m_ngrow);
-    if (comm::haloOverlap() == comm::HaloOverlap::Never || m_fabs.empty() ||
-        src.m_fabs.empty()) {
+    if (!comm::asyncHalo() || m_fabs.empty() || src.m_fabs.empty()) {
         ParallelCopy(src, scomp, dcomp, ncomp, dst_ng, period);
         return comm::HaloHandle{};
     }

@@ -121,7 +121,7 @@ void fillPatchTwoLevels(MultiFab& dst, const MultiFab& fine_src,
     // When dst aliases fine_src (MakeNewLevelFromCoarse's no-op self-copy
     // idiom) posting first would pack pre-interpolation data; keep the
     // fused order in that case.
-    if (&dst != &fine_src && comm::overlapPays(dst.boxArray(), dst_ng)) {
+    if (comm::asyncHalo() && &dst != &fine_src) {
         // Post the same-level overwrite first: the payload (fine_src valid
         // regions) is packed now, the interpolation loop runs while the
         // copy is "in flight", and finish() delivers the fine data on top

@@ -35,10 +35,9 @@ void averageDown(MultiFab& crse, const MultiFab& fine, int ratio, int scomp,
 //
 // Canonical comm signature: components in (scomp, dcomp, ncomp) order —
 // read src levels at scomp, write dst at dcomp — then the ghost width.
-// Where comm::overlapPays(dst's layout, dst_ng) says so, the fine-level
-// overwrite is posted before the coarse interpolation loop and finished
-// after it, so the same-level copy is in flight while the interpolation
-// runs.
+// When the split-phase machinery is on, the fine-level overwrite is
+// posted before the coarse interpolation loop and finished after it, so
+// the same-level copy is in flight while the interpolation runs.
 void fillPatchTwoLevels(MultiFab& dst, const MultiFab& fine_src,
                         const MultiFab& crse_src, const Geometry& crse_geom,
                         const Geometry& fine_geom, int ratio, int scomp, int dcomp,

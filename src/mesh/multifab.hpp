@@ -91,7 +91,7 @@ public:
     // CommHooks accounting exactly as the fused call. Between post and
     // finish this MultiFab's ghost zones are unmodified and its valid
     // zones may be read or overwritten freely — the payload was captured
-    // at post time. Under comm::HaloOverlap::Never these run the fused
+    // at post time. When comm::asyncHalo() is off these run the fused
     // path eagerly and return an already-finished handle.
     comm::HaloHandle FillBoundary_nowait(
         int scomp, int ncomp,

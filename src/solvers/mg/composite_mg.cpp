@@ -223,7 +223,7 @@ void CompositeMg::smoothRung(int r, int sweeps) {
     };
     for (int s = 0; s < sweeps; ++s) {
         for (int color = 0; color < 2; ++color) {
-            if (comm::overlapPays(R.ba, 1)) {
+            if (comm::asyncHalo()) {
                 // Split phase: post the same-level exchange, fill the
                 // coarse-fine ghosts (independent of the in-flight
                 // traffic — they read coarse scratch and fine valid

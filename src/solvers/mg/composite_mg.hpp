@@ -17,7 +17,7 @@
 //    zone threshold are laid out on fewer ranks (cost-weighted knapsack
 //    mapping); transfers stage through a MultiFab on the finer rung's
 //    distribution so the rank transition is one cached ParallelCopy plan.
-//  - Split-phase smoother halos. Where comm::overlapPays() says so, every
+//  - Split-phase smoother halos. When comm::asyncHalo() is on, every
 //    red-black half-sweep posts its ghost exchange, smooths fab interiors
 //    while the traffic is in flight, then finishes and sweeps the shells
 //    (bit-identical to the fused path: a half-sweep writes one color and

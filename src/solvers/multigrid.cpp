@@ -78,7 +78,7 @@ void Multigrid::smooth(MultiFab& phi, const MultiFab& rhs, int lev, int sweeps) 
     };
     for (int s = 0; s < sweeps; ++s) {
         for (int color = 0; color < 2; ++color) {
-            if (comm::overlapPays(phi.boxArray(), 1)) {
+            if (comm::asyncHalo()) {
                 // Split phase: post the exchange (which packs the
                 // pre-sweep valid data, exactly what the fused path's
                 // ghosts carry), smooth the interiors while it is in

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <random>
 
@@ -306,9 +307,129 @@ TEST(CastroHydro, PpmSharperThanPlmOnSod) {
 
 namespace {
 
-// The generic per-face flux loop as it stood before the sweep was
-// specialized (direction and reconstruction chosen at run time, per
-// face), kept as the reference the specialized sweep must reproduce.
+// The flux helpers and the generic per-face flux loop as they stood
+// before the sweep was specialized: out-of-line helpers, a zero-filled
+// HLLC scratch, physical fluxes in one loop, and direction and
+// reconstruction chosen at run time per face. They are copied here, not
+// called from castro/hydro.hpp, so the test also checks the edits to the
+// helpers themselves.
+Real refMcSlope(Array4<const Real> q, int i, int j, int k, int n, int dim) {
+    const IntVect e = IntVect::basis(dim);
+    const Real qm = q(i - e.x, j - e.y, k - e.z, n);
+    const Real q0 = q(i, j, k, n);
+    const Real qp = q(i + e.x, j + e.y, k + e.z, n);
+    const Real dl = q0 - qm;
+    const Real dr = qp - q0;
+    if (dl * dr <= 0.0) return 0.0;
+    const Real dc = 0.5 * (dl + dr);
+    const Real lim = 2.0 * std::min(std::abs(dl), std::abs(dr));
+    return std::copysign(std::min(std::abs(dc), lim), dc);
+}
+
+void refPpmEdges(Array4<const Real> q, int i, int j, int k, int n, int dim, Real& qm,
+                 Real& qp) {
+    const IntVect e = IntVect::basis(dim);
+    auto at = [&](int s) { return q(i + s * e.x, j + s * e.y, k + s * e.z, n); };
+    const Real q0 = at(0);
+    qm = (7.0 / 12.0) * (at(-1) + q0) - (1.0 / 12.0) * (at(-2) + at(1));
+    qp = (7.0 / 12.0) * (q0 + at(1)) - (1.0 / 12.0) * (at(-1) + at(2));
+    if ((qp - q0) * (q0 - qm) <= 0.0) {
+        qm = q0;
+        qp = q0;
+        return;
+    }
+    const Real d = qp - qm;
+    const Real t = 6.0 * (q0 - 0.5 * (qp + qm));
+    if (d * t > d * d) qm = 3.0 * q0 - 2.0 * qp;
+    if (-(d * d) > d * t) qp = 3.0 * q0 - 2.0 * qm;
+}
+
+void refHllcFlux(const Real* ql, const Real* qr, int nspec, int dim, Real* flux) {
+    const StateLayout S(nspec);
+    const int nstate = S.ncomp();
+    const int iu = PrimLayout::QU + dim;
+
+    auto buildU = [&](const Real* q, Real* U, Real& un, Real& p, Real& c) {
+        const Real rho = q[PrimLayout::QRHO];
+        const Real vx = q[PrimLayout::QU];
+        const Real vy = q[PrimLayout::QV];
+        const Real vz = q[PrimLayout::QW];
+        p = q[PrimLayout::QP];
+        c = q[PrimLayout::QC];
+        un = q[iu];
+        U[StateLayout::URHO] = rho;
+        U[StateLayout::UMX] = rho * vx;
+        U[StateLayout::UMX + 1] = rho * vy;
+        U[StateLayout::UMX + 2] = rho * vz;
+        U[StateLayout::UEDEN] =
+            q[PrimLayout::QREINT] + 0.5 * rho * (vx * vx + vy * vy + vz * vz);
+        U[StateLayout::UTEMP] = 0.0;
+        for (int n = 0; n < nspec; ++n) {
+            U[StateLayout::UFS + n] = rho * q[PrimLayout::QFS + n];
+        }
+    };
+    auto physFlux = [&](const Real* U, const Real* q, Real un, Real p, Real* F) {
+        for (int n = 0; n < nstate; ++n) F[n] = un * U[n];
+        F[StateLayout::UMX + dim] += p;
+        F[StateLayout::UEDEN] += p * un;
+        F[StateLayout::UTEMP] = 0.0;
+        (void)q;
+    };
+
+    Real UL[40] = {}, UR[40] = {}, FL[40] = {}, FR[40] = {};
+    Real unl, pl, cl, unr, pr, cr;
+    buildU(ql, UL, unl, pl, cl);
+    buildU(qr, UR, unr, pr, cr);
+    physFlux(UL, ql, unl, pl, FL);
+    physFlux(UR, qr, unr, pr, FR);
+
+    const Real rl = ql[PrimLayout::QRHO];
+    const Real rr = qr[PrimLayout::QRHO];
+    const Real sl = std::min(unl - cl, unr - cr);
+    const Real sr = std::max(unl + cl, unr + cr);
+    const Real denom = rl * (sl - unl) - rr * (sr - unr);
+    const Real sstar =
+        std::abs(denom) > 1.0e-30
+            ? (pr - pl + rl * unl * (sl - unl) - rr * unr * (sr - unr)) / denom
+            : 0.5 * (unl + unr);
+
+    if (sl >= 0.0) {
+        for (int n = 0; n < nstate; ++n) flux[n] = FL[n];
+        return;
+    }
+    if (sr <= 0.0) {
+        for (int n = 0; n < nstate; ++n) flux[n] = FR[n];
+        return;
+    }
+
+    auto starFlux = [&](const Real* U, const Real* F, const Real* q, Real un, Real p,
+                        Real s) {
+        const Real rho = q[PrimLayout::QRHO];
+        const Real fac = rho * (s - un) / (s - sstar);
+        Real Ustar[40];
+        Ustar[StateLayout::URHO] = fac;
+        Ustar[StateLayout::UMX] = fac * q[PrimLayout::QU];
+        Ustar[StateLayout::UMX + 1] = fac * q[PrimLayout::QV];
+        Ustar[StateLayout::UMX + 2] = fac * q[PrimLayout::QW];
+        Ustar[StateLayout::UMX + dim] = fac * sstar;
+        Ustar[StateLayout::UEDEN] =
+            fac * (U[StateLayout::UEDEN] / rho +
+                   (sstar - un) * (sstar + p / (rho * (s - un))));
+        Ustar[StateLayout::UTEMP] = 0.0;
+        for (int n = 0; n < nspec; ++n) {
+            Ustar[StateLayout::UFS + n] = fac * q[PrimLayout::QFS + n];
+        }
+        for (int n = 0; n < nstate; ++n) flux[n] = F[n] + s * (Ustar[n] - U[n]);
+        flux[StateLayout::UTEMP] = 0.0;
+    };
+
+    if (sstar >= 0.0) {
+        starFlux(UL, FL, ql, unl, pl, sl);
+    } else {
+        starFlux(UR, FR, qr, unr, pr, sr);
+    }
+}
+
 void referenceFluxSweep(Array4<const Real> q, const Box& fb, int d, bool ppm, int nsp,
                         Array4<Real> fx) {
     for (int k = fb.smallEnd(2); k <= fb.bigEnd(2); ++k)
@@ -319,13 +440,13 @@ void referenceFluxSweep(Array4<const Real> q, const Box& fb, int d, bool ppm, in
                 for (int n = 0; n < PrimLayout::QFS + nsp; ++n) {
                     if (ppm) {
                         Real lm, lp, rm, rp;
-                        ppmEdges(q, i - e.x, j - e.y, k - e.z, n, d, lm, lp);
-                        ppmEdges(q, i, j, k, n, d, rm, rp);
+                        refPpmEdges(q, i - e.x, j - e.y, k - e.z, n, d, lm, lp);
+                        refPpmEdges(q, i, j, k, n, d, rm, rp);
                         ql[n] = lp;
                         qr[n] = rm;
                     } else {
-                        const Real sll = mcSlope(q, i - e.x, j - e.y, k - e.z, n, d);
-                        const Real slr = mcSlope(q, i, j, k, n, d);
+                        const Real sll = refMcSlope(q, i - e.x, j - e.y, k - e.z, n, d);
+                        const Real slr = refMcSlope(q, i, j, k, n, d);
                         ql[n] = q(i - e.x, j - e.y, k - e.z, n) + 0.5 * sll;
                         qr[n] = q(i, j, k, n) - 0.5 * slr;
                     }
@@ -337,7 +458,7 @@ void referenceFluxSweep(Array4<const Real> q, const Box& fb, int d, bool ppm, in
                 ql[PrimLayout::QREINT] = std::max(ql[PrimLayout::QREINT], Real(1.0e-30));
                 qr[PrimLayout::QREINT] = std::max(qr[PrimLayout::QREINT], Real(1.0e-30));
                 Real fl[40];
-                hllcFlux(ql, qr, nsp, d, fl);
+                refHllcFlux(ql, qr, nsp, d, fl);
                 for (int n = 0; n < StateLayout::UFS + nsp; ++n) fx(i, j, k, n) = fl[n];
             }
 }

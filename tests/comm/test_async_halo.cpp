@@ -523,54 +523,7 @@ TEST(AsyncHalo, LedgerTracksSplitPhaseExchanges) {
     fused.detach();
 }
 
-// --- the Auto overlap policy ---------------------------------------------
-
-namespace {
-
-// Two edge^3 boxes side by side (layout metadata only: nothing allocated).
-BoxArray twoBoxLayout(int edge) {
-    BoxArray ba(Box({0, 0, 0}, {2 * edge - 1, edge - 1, edge - 1}));
-    ba.maxSize(edge);
-    return ba;
-}
-
-} // namespace
-
-TEST(HaloOverlapPolicy, SplitsOnlyWhereTheInteriorFractionPays) {
-    comm::ScopedAsyncHalo mode(comm::HaloOverlap::Auto);
-    for (const int stencil : {1, 2, 3}) {
-        for (const int edge : {8, 16, 32}) {
-            EXPECT_FALSE(comm::overlapPays(twoBoxLayout(edge), stencil))
-                << edge << "^3 at stencil " << stencil;
-        }
-        for (const int edge : {64, 128}) {
-            const double frac = std::pow(double(edge - 2 * stencil) / edge, 3);
-            EXPECT_EQ(comm::overlapPays(twoBoxLayout(edge), stencil),
-                      frac >= comm::kOverlapMinInterior)
-                << edge << "^3 at stencil " << stencil;
-        }
-    }
-    EXPECT_TRUE(comm::overlapPays(twoBoxLayout(64), 1));
-    EXPECT_TRUE(comm::overlapPays(twoBoxLayout(128), 3));
-
-    // The fraction is the one stored with the cached partition plan.
-    const BoxArray ba = twoBoxLayout(16);
-    EXPECT_EQ(CopierCache::instance().interiorPartition(ba, 2)->interior_frac,
-              12.0 * 12.0 * 12.0 / (16.0 * 16.0 * 16.0));
-
-    // The forced modes ignore the layout.
-    {
-        comm::ScopedAsyncHalo on(true);
-        EXPECT_EQ(comm::haloOverlap(), comm::HaloOverlap::Always);
-        EXPECT_TRUE(comm::overlapPays(twoBoxLayout(8), 3));
-    }
-    {
-        comm::ScopedAsyncHalo off(false);
-        EXPECT_EQ(comm::haloOverlap(), comm::HaloOverlap::Never);
-        EXPECT_FALSE(comm::overlapPays(twoBoxLayout(128), 1));
-    }
-    EXPECT_EQ(comm::haloOverlap(), comm::HaloOverlap::Auto);
-}
+// --- the default (fused) path --------------------------------------------
 
 namespace {
 
@@ -579,11 +532,9 @@ struct ModeRun {
     std::int64_t bytes = 0, messages = 0, posted = 0;
 };
 
-// Runs `body` under `mode` with a ledger attached and collects its state
-// and traffic.
+// Runs `body` with a ledger attached and collects its state and traffic.
 template <typename Body>
-ModeRun runUnder(comm::HaloOverlap mode, Body&& body) {
-    comm::ScopedAsyncHalo scoped(mode);
+ModeRun runWithLedger(Body&& body) {
     CommLedger ledger;
     ledger.attach();
     ModeRun r;
@@ -595,90 +546,79 @@ ModeRun runUnder(comm::HaloOverlap mode, Body&& body) {
     return r;
 }
 
-// Auto must equal Never and Always bit for bit and byte for byte, and
-// split exactly when the layout's interior fraction pays.
+// The default must be the fused path: it posts no split-phase exchange
+// and equals the forced split path bit for bit and byte for byte.
 template <typename Body>
-void expectAutoMatchesForcedModes(const BoxArray& ba, int stencil, Body&& body) {
-    const ModeRun never = runUnder(comm::HaloOverlap::Never, body);
-    const ModeRun always = runUnder(comm::HaloOverlap::Always, body);
-    const ModeRun autom = runUnder(comm::HaloOverlap::Auto, body);
-    expectIdentical(*never.state, *autom.state);
-    expectIdentical(*always.state, *autom.state);
-    EXPECT_GT(never.messages, 0);
-    EXPECT_EQ(autom.bytes, never.bytes);
-    EXPECT_EQ(autom.messages, never.messages);
-    EXPECT_EQ(always.bytes, never.bytes);
-    EXPECT_EQ(always.messages, never.messages);
-    EXPECT_EQ(never.posted, 0);
-    EXPECT_GT(always.posted, 0);
-    const auto part = CopierCache::instance().interiorPartition(ba, stencil);
-    const bool pays = part->interior_frac >= comm::kOverlapMinInterior;
-    EXPECT_EQ(autom.posted > 0, pays);
+void expectDefaultIsFusedAndMatchesSplit(Body&& body) {
+    ASSERT_FALSE(comm::asyncHalo());
+    const ModeRun dflt = runWithLedger(body);
+    ModeRun split;
+    {
+        comm::ScopedAsyncHalo on(true);
+        split = runWithLedger(body);
+    }
+    EXPECT_FALSE(comm::asyncHalo()); // the scope restored the default
+    expectIdentical(*dflt.state, *split.state);
+    EXPECT_GT(dflt.messages, 0);
+    EXPECT_EQ(dflt.bytes, split.bytes);
+    EXPECT_EQ(dflt.messages, split.messages);
+    EXPECT_EQ(dflt.posted, 0);
+    EXPECT_GT(split.posted, 0);
 }
 
 } // namespace
 
-TEST(HaloOverlapPolicy, CastroStageUnderAutoMatchesBothForcedModes) {
+TEST(AsyncHaloDefault, CastroStageRunsFusedAndMatchesSplit) {
     ScopedBackend backend(Backend::Serial);
     auto net = makeIgnitionSimple();
-    // 8^3 boxes (interior fraction 0.125 at PLM's stencil 2) and 80^3
-    // boxes (0.857), each on two ranks.
-    for (const int edge : {8, 80}) {
-        SCOPED_TRACE(edge);
-        Box dom({0, 0, 0}, {2 * edge - 1, edge - 1, edge - 1});
-        Geometry geom(dom, {0, 0, 0}, {2, 1, 1}, IntVect{1, 1, 1});
-        BoxArray ba(dom);
-        ba.maxSize(edge);
-        DistributionMapping dm(ba, 2);
-        const int plm = castro::stencilWidth(castro::Reconstruction::PLM);
-        expectAutoMatchesForcedModes(ba, plm, [&] {
-            castro::CastroOptions opt;
-            opt.bc = DomainBC::allPeriodic();
-            Eos eos{GammaLawEos{1.4}};
-            castro::Castro c(geom, ba, dm, net, eos, opt);
-            c.initialize([&](Real x, Real y, Real) {
-                castro::Castro::InitialZone z;
-                const bool in = std::abs(x - 1.0) < 0.3 && std::abs(y - 0.5) < 0.2;
-                z.rho = in ? 1.0 : 0.125;
-                z.p = in ? 1.0 : 0.1;
-                z.X = {1.0, 0.0};
-                return z;
-            });
-            c.step(c.estimateDt());
-            auto out = std::make_unique<MultiFab>(ba, dm, c.state().nComp(),
-                                                  c.state().nGrow());
-            MultiFab::Copy(*out, c.state(), 0, 0, c.state().nComp(), c.state().nGrow());
-            return out;
+    const int edge = 16;
+    Box dom({0, 0, 0}, {2 * edge - 1, edge - 1, edge - 1});
+    Geometry geom(dom, {0, 0, 0}, {2, 1, 1}, IntVect{1, 1, 1});
+    BoxArray ba(dom);
+    ba.maxSize(edge);
+    DistributionMapping dm(ba, 2);
+    expectDefaultIsFusedAndMatchesSplit([&] {
+        castro::CastroOptions opt;
+        opt.bc = DomainBC::allPeriodic();
+        Eos eos{GammaLawEos{1.4}};
+        castro::Castro c(geom, ba, dm, net, eos, opt);
+        c.initialize([&](Real x, Real y, Real) {
+            castro::Castro::InitialZone z;
+            const bool in = std::abs(x - 1.0) < 0.3 && std::abs(y - 0.5) < 0.2;
+            z.rho = in ? 1.0 : 0.125;
+            z.p = in ? 1.0 : 0.1;
+            z.X = {1.0, 0.0};
+            return z;
         });
-    }
+        c.step(c.estimateDt());
+        auto out = std::make_unique<MultiFab>(ba, dm, c.state().nComp(),
+                                              c.state().nGrow());
+        MultiFab::Copy(*out, c.state(), 0, 0, c.state().nComp(), c.state().nGrow());
+        return out;
+    });
 }
 
-TEST(HaloOverlapPolicy, MultigridSmootherUnderAutoMatchesBothForcedModes) {
+TEST(AsyncHaloDefault, MultigridSmootherRunsFusedAndMatchesSplit) {
     ScopedBackend backend(Backend::Serial);
-    // 8^3 boxes (interior fraction 0.42 at stencil 1) and 40^3 boxes
-    // (0.857; the coarser V-cycle levels fall below the threshold, so an
-    // Auto solve mixes split and fused half-sweeps).
-    for (const int edge : {8, 40}) {
-        SCOPED_TRACE(edge);
-        Box dom({0, 0, 0}, {2 * edge - 1, edge - 1, edge - 1});
-        Geometry geom(dom, {0, 0, 0}, {2, 1, 1}, IntVect{1, 1, 1});
-        BoxArray ba(dom);
-        ba.maxSize(edge);
-        DistributionMapping dm(ba, 2);
-        expectAutoMatchesForcedModes(ba, 1, [&] {
-            MultiFab rhs = makeFilled(ba, dm, 1, 0);
-            // Zero-mean right-hand side for the periodic problem.
-            const Real mean = rhs.sum(0) / static_cast<Real>(ba.numPts());
-            rhs.plus(-mean, 0, 1);
-            Multigrid::Options opt;
-            opt.max_vcycles = 2;
-            opt.max_grid_size = edge; // the solver's finest layout is `ba`
-            opt.nranks = 2;
-            Multigrid mg(geom, MgBC::Periodic, opt);
-            auto phi = std::make_unique<MultiFab>(ba, dm, 1, 1);
-            phi->setVal(0.0);
-            mg.solve(*phi, rhs);
-            return phi;
-        });
-    }
+    const int edge = 16;
+    Box dom({0, 0, 0}, {2 * edge - 1, edge - 1, edge - 1});
+    Geometry geom(dom, {0, 0, 0}, {2, 1, 1}, IntVect{1, 1, 1});
+    BoxArray ba(dom);
+    ba.maxSize(edge);
+    DistributionMapping dm(ba, 2);
+    expectDefaultIsFusedAndMatchesSplit([&] {
+        MultiFab rhs = makeFilled(ba, dm, 1, 0);
+        // Zero-mean right-hand side for the periodic problem.
+        const Real mean = rhs.sum(0) / static_cast<Real>(ba.numPts());
+        rhs.plus(-mean, 0, 1);
+        Multigrid::Options opt;
+        opt.max_vcycles = 2;
+        opt.max_grid_size = edge; // the solver's finest layout is `ba`
+        opt.nranks = 2;
+        Multigrid mg(geom, MgBC::Periodic, opt);
+        auto phi = std::make_unique<MultiFab>(ba, dm, 1, 1);
+        phi->setVal(0.0);
+        mg.solve(*phi, rhs);
+        return phi;
+    });
 }

@@ -285,8 +285,7 @@ TEST(CompositeMg, AggregationOnOffBitIdentical) {
 
 TEST(CompositeMg, SplitPhaseHalosBitIdentical) {
     // Every smoother half-sweep posts its exchange and overlaps interior
-    // zones when the overlap is forced on; the result must match the
-    // fused path.
+    // zones when asyncHalo is on; the result must match the fused path.
     std::uint64_t hsplit = 0, hfused = 0;
     {
         comm::ScopedAsyncHalo async(true);
